@@ -7,13 +7,18 @@
 //! snapshot then joins the history. Both raw and inverse queries are
 //! evaluated, matching the two-directional protocol of the baselines.
 
+use crate::model::Encoded;
+use crate::topk::BlockNorms;
 use crate::trainer::snapshots_of;
 use hisres_data::DatasetSplits;
 use hisres_graph::{
-    GlobalHistoryIndex, Quad, RankMetrics, Snapshot, TimeFilter,
+    EdgeList, GlobalHistoryIndex, Quad, RankMetrics, Snapshot, TimeFilter,
 };
-use hisres_tensor::NdArray;
+use hisres_tensor::{no_grad, NdArray};
 use hisres_util::pool;
+use hisres_util::rng::rngs::StdRng;
+use hisres_util::rng::SeedableRng;
+use std::collections::BTreeMap;
 
 /// Minimum query rows per ranking task; each row scans every entity, so a
 /// task this size comfortably amortises pool dispatch.
@@ -278,46 +283,8 @@ impl ScoreCtx {
 /// coalesce concurrent requests into one encoder pass without changing
 /// any client-visible score.
 pub fn score_at(model: &crate::model::HisRes, ctx: &ScoreCtx, queries: &[(u32, u32)]) -> NdArray {
-    use hisres_tensor::no_grad;
-    use hisres_util::rng::rngs::StdRng;
-    use hisres_util::rng::SeedableRng;
-    use std::collections::BTreeMap;
-
-    let mut out = NdArray::zeros(queries.len(), ctx.num_entities);
-    if queries.is_empty() {
-        return out;
-    }
-    let start = ctx.snapshots.len().saturating_sub(model.cfg.history_len);
-    let history = &ctx.snapshots[start..];
-    let k = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
-
-    // Deterministic grouping: rows that share a pair share one answer.
-    let mut groups: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-    for (i, &pair) in queries.iter().enumerate() {
-        groups.entry(pair).or_default().push(i);
-    }
-
-    no_grad(|| {
-        let mut rng = StdRng::seed_from_u64(0);
-        let local = model.encode_local(history, ctx.t, false, &mut rng);
-        for (&pair, rows) in &groups {
-            let g_edges = if model.cfg.use_global {
-                ctx.global.relevant_graph_pruned(&[pair], k)
-            } else {
-                hisres_graph::EdgeList::new()
-            };
-            // Fresh seed per pair, mirroring the per-call rng a solo
-            // score would construct (unused in eval mode; the mirror
-            // keeps equivalence robust if that ever changes).
-            let mut rng = StdRng::seed_from_u64(0);
-            let enc = model.encode_global_with(&local, &g_edges, false, &mut rng);
-            let scores = model.score_objects(&enc, &[pair], false, &mut rng).value_clone();
-            for &i in rows {
-                out.row_mut(i).copy_from_slice(scores.row(0));
-            }
-        }
-    });
-    out
+    let local = local_at_end(model, ctx);
+    score_pairs(model, &ctx.global, &local, queries)
 }
 
 /// Top-k entity predictions for each `(s, r)` query at the end of `ctx`'s
@@ -327,66 +294,128 @@ pub fn score_at(model: &crate::model::HisRes, ctx: &ScoreCtx, queries: &[(u32, u
 /// sorting with the serving comparator (score descending, id ascending)
 /// and truncating to `k`; a row is `None` exactly when the dense row
 /// contains a non-finite score (the serving layer's degrade condition).
-///
-/// The pair grouping mirrors [`score_at`]. Pairs whose globally relevant
-/// graph is empty (always, when `use_global` is off) share one fused
-/// entity table, so its [`BlockNorms`](crate::topk::BlockNorms) are
-/// computed once and every such pair's scoring fan-out is pruned by the
-/// Cauchy–Schwarz short-circuit; a pair with its own globally-augmented
-/// table is scored without norms — precomputing them would cost as much
-/// as the one dense row they could save.
 pub fn score_at_topk(
     model: &crate::model::HisRes,
     ctx: &ScoreCtx,
     queries: &[(u32, u32)],
     k: usize,
 ) -> Vec<Option<Vec<(u32, f32)>>> {
-    use hisres_tensor::no_grad;
-    use hisres_util::rng::rngs::StdRng;
-    use hisres_util::rng::SeedableRng;
-    use std::collections::BTreeMap;
+    let local = local_at_end(model, ctx);
+    score_pairs_topk(model, &ctx.global, &local, queries, k)
+}
 
-    let mut out: Vec<Option<Vec<(u32, f32)>>> = vec![None; queries.len()];
-    if queries.is_empty() {
-        return out;
-    }
+/// The windowed local encoding at the end of `ctx`'s timeline: the
+/// query-independent half of [`score_at`], computed once per batch.
+fn local_at_end(model: &crate::model::HisRes, ctx: &ScoreCtx) -> Encoded {
     let start = ctx.snapshots.len().saturating_sub(model.cfg.history_len);
-    let history = &ctx.snapshots[start..];
-    let prune_k = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
+    let history = ctx.snapshots.get(start..).unwrap_or_default();
+    no_grad(|| {
+        let mut rng = StdRng::seed_from_u64(0);
+        model.encode_local(history, ctx.t, false, &mut rng) // lint:allow(panic-reachability, no-hot-alloc-reachable): the windowed local encode is the autograd forward, re-run once per batch by design; shapes are fixed by the loaded checkpoint
+    })
+}
 
+/// Query rows grouped by distinct `(s, r)` pair, in pair order: rows that
+/// share a pair share one answer.
+fn group_pairs(queries: &[(u32, u32)]) -> BTreeMap<(u32, u32), Vec<usize>> {
     let mut groups: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
     for (i, &pair) in queries.iter().enumerate() {
         groups.entry(pair).or_default().push(i);
     }
+    groups
+}
 
+/// The globally relevant graph `G_t^H` of one query pair (empty when the
+/// model has no global branch).
+fn pair_graph(
+    model: &crate::model::HisRes,
+    global: &GlobalHistoryIndex,
+    pair: (u32, u32),
+) -> EdgeList {
+    if model.cfg.use_global {
+        let k = model.cfg.global_prune_topk.unwrap_or(usize::MAX);
+        global.relevant_graph_pruned(&[pair], k)
+    } else {
+        EdgeList::new()
+    }
+}
+
+/// The dense scoring loop behind [`score_at`] and
+/// [`IngestSession::score`](crate::ingest::IngestSession::score): given a
+/// shared local encoding, runs the global stage and the decoder once per
+/// distinct pair and replicates each answer to that pair's rows. Returns
+/// `[queries.len(), num_entities]`.
+pub(crate) fn score_pairs(
+    model: &crate::model::HisRes,
+    global: &GlobalHistoryIndex,
+    local: &Encoded,
+    queries: &[(u32, u32)],
+) -> NdArray {
+    let mut out = NdArray::zeros(queries.len(), model.num_entities());
+    if queries.is_empty() {
+        return out;
+    }
     no_grad(|| {
-        let mut rng = StdRng::seed_from_u64(0);
-        let local = model.encode_local(history, ctx.t, false, &mut rng);
+        for (&pair, rows) in &group_pairs(queries) {
+            let g_edges = pair_graph(model, global, pair);
+            // Fresh seed per pair, mirroring the per-call rng a solo
+            // score would construct (unused in eval mode; the mirror
+            // keeps equivalence robust if that ever changes).
+            let mut rng = StdRng::seed_from_u64(0);
+            let enc = model.encode_global_with(local, &g_edges, false, &mut rng);
+            let scores = model.score_objects(&enc, &[pair], false, &mut rng).value_clone();
+            for &i in rows {
+                out.row_mut(i).copy_from_slice(scores.row(0));
+            }
+        }
+    });
+    out
+}
+
+/// The top-k twin of [`score_pairs`], behind [`score_at_topk`] and
+/// [`IngestSession::score_topk`](crate::ingest::IngestSession::score_topk).
+///
+/// Pairs whose globally relevant graph is empty (always, when
+/// `use_global` is off) share one fused entity table, so its
+/// [`BlockNorms`] are computed once and every such pair's scoring fan-out
+/// is pruned by the Cauchy–Schwarz short-circuit; a pair with its own
+/// globally-augmented table is scored without norms — precomputing them
+/// would cost as much as the one dense row they could save.
+pub(crate) fn score_pairs_topk(
+    model: &crate::model::HisRes,
+    global: &GlobalHistoryIndex,
+    local: &Encoded,
+    queries: &[(u32, u32)],
+    k: usize,
+) -> Vec<Option<Vec<(u32, f32)>>> {
+    let mut out: Vec<Option<Vec<(u32, f32)>>> = vec![None; queries.len()]; // lint:allow(no-hot-alloc-reachable): per-batch result buffer, one slot per query in the request
+    if queries.is_empty() {
+        return out;
+    }
+    no_grad(|| {
         // Lazily built shared encoding for empty-global-graph pairs: the
         // encoder is a deterministic function of (local, edges) in eval
         // mode, so every such pair sees a bitwise-equal entity table.
-        let mut shared: Option<(crate::model::Encoded, crate::topk::BlockNorms)> = None;
-        for (&pair, rows) in &groups {
-            let g_edges = if model.cfg.use_global {
-                ctx.global.relevant_graph_pruned(&[pair], prune_k)
-            } else {
-                hisres_graph::EdgeList::new()
-            };
+        let mut shared: Option<(Encoded, BlockNorms)> = None;
+        for (&pair, rows) in &group_pairs(queries) {
+            let g_edges = pair_graph(model, global, pair);
             let mut rng = StdRng::seed_from_u64(0);
             let preds = if g_edges.is_empty() {
                 if shared.is_none() {
-                    let enc = model.encode_global_with(&local, &g_edges, false, &mut rng);
+                    let enc = model.encode_global_with(local, &g_edges, false, &mut rng);
                     let norms = model.entity_block_norms(&enc);
                     shared = Some((enc, norms));
                 }
-                let (enc, norms) = shared.as_ref().expect("just filled");
-                model.score_objects_topk(enc, &[pair], k, Some(norms))
+                match shared.as_ref() {
+                    Some((enc, norms)) => model.score_objects_topk(enc, &[pair], k, Some(norms)),
+                    None => Vec::new(),
+                }
             } else {
-                let enc = model.encode_global_with(&local, &g_edges, false, &mut rng);
+                let enc = model.encode_global_with(local, &g_edges, false, &mut rng);
                 model.score_objects_topk(&enc, &[pair], k, None)
             };
             for &i in rows {
-                out[i] = preds[0].clone();
+                out[i] = preds.first().cloned().flatten();
             }
         }
     });
@@ -405,10 +434,6 @@ pub fn evaluate_relations(
     data: &DatasetSplits,
     split: Split,
 ) -> EvalResult {
-    use hisres_graph::EdgeList;
-    use hisres_util::rng::rngs::StdRng;
-    use hisres_util::rng::SeedableRng;
-
     let nr = data.num_relations() as u32;
     // relation-side time filter: reuse TimeFilter by recoding each event
     // as (subject = s, "relation" = o, "object" = rel id)

@@ -35,15 +35,12 @@
 
 use crate::eval::ScoreCtx;
 use crate::model::{EncoderState, HisRes};
-use hisres_graph::{EdgeList, GlobalHistoryIndex, Snapshot};
+use hisres_graph::{GlobalHistoryIndex, Snapshot};
 use hisres_tensor::{no_grad, NdArray};
 use hisres_util::fsio::{self, FaultInjector};
 use hisres_util::json;
-use hisres_util::rng::rngs::StdRng;
-use hisres_util::rng::SeedableRng;
 use hisres_util::wal::{CorruptPolicy, Wal};
 use hisres_util::impl_json;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -454,33 +451,8 @@ impl IngestSession {
     /// [`crate::eval::score_at`], sharing one local encoding across the
     /// batch and grouping duplicate pairs deterministically.
     pub fn score(&self, queries: &[(u32, u32)]) -> NdArray {
-        let mut out = NdArray::zeros(queries.len(), self.num_entities);
-        if queries.is_empty() {
-            return out;
-        }
-        let k = self.model.cfg.global_prune_topk.unwrap_or(usize::MAX);
-        let mut groups: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for (i, &pair) in queries.iter().enumerate() {
-            groups.entry(pair).or_default().push(i);
-        }
-        no_grad(|| {
-            let local = self.model.state_local_encoding(&self.state);
-            for (&pair, rows) in &groups {
-                let g_edges = if self.model.cfg.use_global {
-                    self.global.relevant_graph_pruned(&[pair], k)
-                } else {
-                    EdgeList::new()
-                };
-                let mut rng = StdRng::seed_from_u64(0);
-                let enc = self.model.encode_global_with(&local, &g_edges, false, &mut rng);
-                let scores =
-                    self.model.score_objects(&enc, &[pair], false, &mut rng).value_clone();
-                for &i in rows {
-                    out.row_mut(i).copy_from_slice(scores.row(0));
-                }
-            }
-        });
-        out
+        let local = no_grad(|| self.model.state_local_encoding(&self.state));
+        crate::eval::score_pairs(&self.model, &self.global, &local, queries)
     }
 
     /// Top-k entity predictions against the current ingested state — the
@@ -489,47 +461,8 @@ impl IngestSession {
     /// id ascending) and truncating to `k`; `None` rows carry a non-finite
     /// score and must be degraded by the caller.
     pub fn score_topk(&self, queries: &[(u32, u32)], k: usize) -> Vec<Option<Vec<(u32, f32)>>> {
-        let mut out: Vec<Option<Vec<(u32, f32)>>> = vec![None; queries.len()]; // lint:allow(no-hot-alloc-reachable): per-batch result buffer, one slot per query in the request
-        if queries.is_empty() {
-            return out;
-        }
-        let prune_k = self.model.cfg.global_prune_topk.unwrap_or(usize::MAX);
-        let mut groups: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for (i, &pair) in queries.iter().enumerate() {
-            groups.entry(pair).or_default().push(i);
-        }
-        no_grad(|| {
-            let local = self.model.state_local_encoding(&self.state);
-            let mut shared: Option<(crate::model::Encoded, crate::topk::BlockNorms)> = None;
-            for (&pair, rows) in &groups {
-                let g_edges = if self.model.cfg.use_global {
-                    self.global.relevant_graph_pruned(&[pair], prune_k)
-                } else {
-                    EdgeList::new()
-                };
-                let mut rng = StdRng::seed_from_u64(0);
-                let preds = if g_edges.is_empty() {
-                    if shared.is_none() {
-                        let enc = self.model.encode_global_with(&local, &g_edges, false, &mut rng);
-                        let norms = self.model.entity_block_norms(&enc);
-                        shared = Some((enc, norms));
-                    }
-                    match shared.as_ref() {
-                        Some((enc, norms)) => {
-                            self.model.score_objects_topk(enc, &[pair], k, Some(norms))
-                        }
-                        None => Vec::new(),
-                    }
-                } else {
-                    let enc = self.model.encode_global_with(&local, &g_edges, false, &mut rng);
-                    self.model.score_objects_topk(&enc, &[pair], k, None)
-                };
-                for &i in rows {
-                    out[i] = preds.first().cloned().flatten();
-                }
-            }
-        });
-        out
+        let local = no_grad(|| self.model.state_local_encoding(&self.state));
+        crate::eval::score_pairs_topk(&self.model, &self.global, &local, queries, k)
     }
 
     fn enter_read_only(&mut self, reason: String) {

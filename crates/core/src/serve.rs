@@ -479,14 +479,14 @@ impl ServeScorer for ModelScorer {
         "hisres"
     }
     fn score(&self, queries: &[(u32, u32)]) -> NdArray {
-        score_at(&self.model, &self.ctx, queries) // lint:allow(panic-reachability, no-hot-alloc-reachable): dense scoring re-encodes via the batch path — per-request cost by design, shapes fixed by the loaded checkpoint
+        score_at(&self.model, &self.ctx, queries)
     }
     fn score_topk(
         &self,
         queries: &[(u32, u32)],
         k: usize,
     ) -> Option<Vec<Option<Vec<(u32, f32)>>>> {
-        Some(crate::eval::score_at_topk(&self.model, &self.ctx, queries, k)) // lint:allow(panic-reachability, no-hot-alloc-reachable): batch result buffers are sized by the request; the just-filled Option expect is local
+        Some(crate::eval::score_at_topk(&self.model, &self.ctx, queries, k))
     }
 }
 
@@ -1260,36 +1260,6 @@ pub fn serve_lines(
     }
     writeln!(output, "{}", engine.stats_line())?;
     output.flush()
-}
-
-/// Legacy single-client TCP front end over [`serve_lines`]: serves one
-/// connection at a time to completion (`--workers 0`). The concurrent
-/// multi-client front end is [`serve_concurrent`]; this loop is kept as
-/// the zero-thread escape hatch and for tests that want strictly
-/// sequential semantics. A connection-level I/O error is logged and the
-/// next connection served; `max_connections` bounds the loop for tests.
-pub fn serve_tcp(
-    engine: &ServeEngine,
-    listener: &std::net::TcpListener,
-    max_connections: Option<usize>,
-) -> std::io::Result<()> {
-    let mut served = 0usize;
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let peer = stream
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into());
-        let reader = std::io::BufReader::new(stream.try_clone()?);
-        if let Err(e) = serve_lines(engine, reader, &stream) {
-            eprintln!("serve: connection {peer} dropped: {e}"); // lint:allow(no-debug-leftovers): operational log of a dropped TCP connection, not debug output
-        }
-        served += 1;
-        if max_connections.is_some_and(|max| served >= max) {
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// Topology knobs for the concurrent TCP front end.

@@ -124,19 +124,6 @@ pub enum TrainError {
     },
     /// A resume checkpoint does not match the model or dataset.
     ResumeMismatch(String),
-    /// A wire-protocol failure that survived retry and recovery
-    /// (distributed training).
-    Comms(hisres_comms::WireError),
-    /// A worker was lost and the `--on-worker-loss` policy did not allow
-    /// (or could not complete) recovery.
-    WorkerLost {
-        /// Slot id of the lost worker.
-        worker: u32,
-        /// Why it was declared lost.
-        cause: String,
-    },
-    /// Spawning or supervising a worker process failed.
-    Supervise(String),
 }
 
 impl fmt::Display for TrainError {
@@ -148,11 +135,6 @@ impl fmt::Display for TrainError {
                 "training diverged at epoch {epoch}, step {step}: {kind:?} (GuardPolicy::Abort)"
             ),
             TrainError::ResumeMismatch(m) => write!(f, "cannot resume: {m}"),
-            TrainError::Comms(e) => write!(f, "distributed training comms failure: {e}"),
-            TrainError::WorkerLost { worker, cause } => {
-                write!(f, "worker {worker} lost ({cause}) and not recoverable under the loss policy")
-            }
-            TrainError::Supervise(m) => write!(f, "worker supervision failed: {m}"),
         }
     }
 }
@@ -161,7 +143,6 @@ impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrainError::Checkpoint(e) => Some(e),
-            TrainError::Comms(e) => Some(e),
             _ => None,
         }
     }
@@ -170,12 +151,6 @@ impl std::error::Error for TrainError {
 impl From<CheckpointError> for TrainError {
     fn from(e: CheckpointError) -> Self {
         TrainError::Checkpoint(e)
-    }
-}
-
-impl From<hisres_comms::WireError> for TrainError {
-    fn from(e: hisres_comms::WireError) -> Self {
-        TrainError::Comms(e)
     }
 }
 
@@ -238,16 +213,15 @@ pub fn train(
 }
 
 /// The last known-good training state, held in memory for
-/// [`GuardPolicy::RollbackWithLrBackoff`]. Shared with the distributed
-/// coordinator, which mirrors the single-process guard handling exactly.
-pub(crate) struct GoodState {
-    pub(crate) params: String,
-    pub(crate) opt: AdamState,
-    pub(crate) rng: StdRng,
+/// [`GuardPolicy::RollbackWithLrBackoff`].
+struct GoodState {
+    params: String,
+    opt: AdamState,
+    rng: StdRng,
 }
 
 impl GoodState {
-    pub(crate) fn capture(model: &HisRes, opt: &Adam, rng: &StdRng) -> GoodState {
+    fn capture(model: &HisRes, opt: &Adam, rng: &StdRng) -> GoodState {
         GoodState {
             params: model.store.to_json(),
             opt: opt.export_state(),
@@ -257,14 +231,11 @@ impl GoodState {
 }
 
 /// Computes the training loss for snapshot `t` given the running global
-/// history index. This is *the* step kernel: the single-process trainer
-/// and every distributed worker call this one function, so a step
-/// computed remotely is bit-identical to the same step computed locally
-/// (same snapshots, same RNG state in, same loss and gradients out).
+/// history index.
 ///
 /// Requires `t > 0`, a non-empty `snaps[t]`, and `global` holding exactly
 /// the non-empty snapshots before `t`.
-pub(crate) fn step_loss(
+fn step_loss(
     model: &HisRes,
     snaps: &[Snapshot],
     t: usize,

@@ -4,7 +4,7 @@
 //! Three rules live here:
 //!
 //! * **panic-reachability** — no function transitively reachable from
-//!   the serving/durability/distributed entry set may `.unwrap()`,
+//!   the serving/ingest/durability entry set may `.unwrap()`,
 //!   `.expect()`, invoke a panic/assert macro, or index a slice without
 //!   a visible bounds guard. Supersedes the old `panic-free-zone` token
 //!   rule: every function *defined* in the zone is an entry, so the old
@@ -45,8 +45,6 @@ pub const PANIC_ZONE: &[&str] = &[
     "crates/core/src/ingest.rs",
     "crates/util/src/fsio.rs",
     "crates/util/src/wal.rs",
-    "crates/comms/src/",
-    "crates/core/src/dist.rs",
 ];
 
 /// Named entry points of `no-hot-alloc-reachable` (the steady-state

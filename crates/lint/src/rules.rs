@@ -65,7 +65,6 @@ const LIBRARY_SRC: &[&str] = &[
     "crates/core/src/",
     "crates/baselines/src/",
     "crates/lint/src/",
-    "crates/comms/src/",
 ];
 /// Modules on the gradient path: bit-determinism of training trajectories
 /// depends on these never observing wall-clock time or hash iteration
@@ -141,7 +140,7 @@ pub fn config() -> Vec<RuleConfig> {
             id: "panic-reachability",
             severity: Severity::Error,
             description: "no function transitively reachable from the \
-                          serving/durability/distributed entry set may \
+                          serving/ingest/durability entry set may \
                           unwrap/expect, invoke a panic or assert macro, or \
                           index a slice without a bounds guard",
             kind: "graph",

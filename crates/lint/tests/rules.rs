@@ -33,7 +33,6 @@ fn bad_tree_reports_one_violation_per_rule_with_exact_positions() {
     assert_eq!(
         keys(&report),
         vec![
-            ("atomic-writes-only".into(), "crates/comms/src/frame.rs".into(), 5),
             ("atomic-writes-only".into(), "crates/data/src/export.rs".into(), 3),
             ("determinism".into(), "crates/tensor/src/timing.rs".into(), 4),
             ("determinism".into(), "crates/tensor/src/timing.rs".into(), 5),
@@ -43,8 +42,6 @@ fn bad_tree_reports_one_violation_per_rule_with_exact_positions() {
             ("no-hot-alloc-reachable".into(), "crates/nn/src/fastpath.rs".into(), 3),
             ("no-hot-alloc-reachable".into(), "crates/nn/src/fastpath.rs".into(), 4),
             ("no-hot-alloc-reachable".into(), "crates/nn/src/fastpath.rs".into(), 5),
-            ("panic-reachability".into(), "crates/comms/src/frame.rs".into(), 4),
-            ("panic-reachability".into(), "crates/core/src/dist.rs".into(), 4),
             ("panic-reachability".into(), "crates/core/src/ingest.rs".into(), 4),
             ("panic-reachability".into(), "crates/core/src/serve.rs".into(), 4),
             ("panic-reachability".into(), "crates/util/src/wal.rs".into(), 4),

@@ -198,82 +198,6 @@ impl ParamStore {
         Ok(())
     }
 
-    /// Flattens every parameter value into one vector, in registration
-    /// order, bit-exact. The wire format for shipping a model state to a
-    /// distributed worker; both sides build the model from the same config
-    /// so registration order (and therefore layout) agrees.
-    pub fn export_flat(&self) -> Vec<f32> {
-        let mut flat = Vec::with_capacity(self.num_scalars());
-        for (_, t) in &self.entries {
-            flat.extend_from_slice(t.value().as_slice());
-        }
-        flat
-    }
-
-    /// Restores parameter values from an [`ParamStore::export_flat`]
-    /// vector. Fails with a typed error when the total length disagrees
-    /// with the registered parameters.
-    pub fn import_flat(&self, flat: &[f32]) -> Result<(), CheckpointError> {
-        let expected = self.num_scalars();
-        if flat.len() != expected {
-            return Err(CheckpointError::Malformed(format!(
-                "flat parameter vector has {} scalars, model expects {}",
-                flat.len(),
-                expected
-            )));
-        }
-        let mut at = 0;
-        for (_, t) in &self.entries {
-            let mut v = t.value_mut();
-            let n = v.len();
-            v.as_mut_slice().copy_from_slice(&flat[at..at + n]);
-            at += n;
-        }
-        Ok(())
-    }
-
-    /// Clones out each parameter's accumulated gradient, in registration
-    /// order; `None` for parameters the step never touched.
-    pub fn export_grads(&self) -> Vec<Option<Vec<f32>>> {
-        self.entries
-            .iter()
-            .map(|(_, t)| t.grad().map(|g| g.as_slice().to_vec()))
-            .collect()
-    }
-
-    /// Replaces each parameter's gradient from an
-    /// [`ParamStore::export_grads`] vector (computed in another process).
-    /// Fails with a typed error on count or per-parameter length mismatch.
-    pub fn import_grads(&self, grads: &[Option<Vec<f32>>]) -> Result<(), CheckpointError> {
-        if grads.len() != self.entries.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "gradient vector has {} entries, model has {} parameters",
-                grads.len(),
-                self.entries.len()
-            )));
-        }
-        // validate every shape before mutating anything
-        for ((name, t), g) in self.entries.iter().zip(grads) {
-            if let Some(g) = g {
-                let (rows, cols) = t.shape();
-                if g.len() != rows * cols {
-                    return Err(CheckpointError::Malformed(format!(
-                        "gradient for {name:?} has {} scalars, parameter is {rows}x{cols}",
-                        g.len()
-                    )));
-                }
-            }
-        }
-        for ((_, t), g) in self.entries.iter().zip(grads) {
-            let (rows, cols) = t.shape();
-            t.set_grad(
-                g.as_ref()
-                    .map(|g| NdArray::from_vec(g.clone(), &[rows, cols])),
-            );
-        }
-        Ok(())
-    }
-
     /// Writes a checkpoint file atomically: versioned + checksummed
     /// envelope, temp file + fsync + rename. A crash mid-save leaves the
     /// previous file intact.
@@ -442,54 +366,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let name = path.file_name().unwrap().to_str().unwrap().to_owned();
         std::fs::remove_file(path.with_file_name(format!(".{name}.tmp"))).ok();
-    }
-
-    #[test]
-    fn flat_round_trip_is_bit_exact() {
-        let mut s = ParamStore::new();
-        let a = s.param("a", NdArray::from_vec(vec![1.5, -0.0, f32::MIN_POSITIVE], &[1, 3]));
-        let b = s.param("b", NdArray::from_vec(vec![2.0, 4.0], &[2, 1]));
-        let flat = s.export_flat();
-        assert_eq!(flat.len(), 5);
-        a.value_mut().as_mut_slice().fill(9.0);
-        b.value_mut().as_mut_slice().fill(9.0);
-        s.import_flat(&flat).unwrap();
-        assert_eq!(a.value().as_slice()[1].to_bits(), (-0.0f32).to_bits());
-        assert_eq!(b.value().as_slice(), &[2.0, 4.0]);
-        assert!(matches!(
-            s.import_flat(&flat[..4]),
-            Err(CheckpointError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn grads_round_trip_preserving_none() {
-        let mut s = ParamStore::new();
-        let a = s.param("a", NdArray::scalar(2.0));
-        let _b = s.param("b", NdArray::zeros(1, 2));
-        a.mul(&a).backward(); // only `a` gets a gradient
-        let grads = s.export_grads();
-        assert_eq!(grads.len(), 2);
-        assert_eq!(grads[0].as_deref(), Some([4.0].as_slice()));
-        assert!(grads[1].is_none());
-
-        let mut other = ParamStore::new();
-        let oa = other.param("a", NdArray::scalar(0.0));
-        let ob = other.param("b", NdArray::zeros(1, 2));
-        other.import_grads(&grads).unwrap();
-        assert_eq!(oa.grad().unwrap().as_slice(), &[4.0]);
-        assert!(ob.grad().is_none());
-
-        // wrong per-param length is typed, and nothing is mutated
-        let bad = vec![Some(vec![1.0, 2.0]), None];
-        assert!(matches!(
-            other.import_grads(&bad),
-            Err(CheckpointError::Malformed(_))
-        ));
-        assert!(matches!(
-            other.import_grads(&grads[..1]),
-            Err(CheckpointError::Malformed(_))
-        ));
     }
 
     #[test]

@@ -53,7 +53,7 @@ trap 'rm -rf "$smoke"' EXIT
 # Token rules still police per-line invariants (atomic writes, determinism,
 # float-eq, pool-only threading); the graph rules (panic-reachability,
 # no-hot-alloc-reachable, durability-order) follow calls across crates from
-# the serving/ingest/distributed entry set to the actual sink. --deny-all
+# the serving/ingest/durability entry set to the actual sink. --deny-all
 # escalates warnings; the tree must be clean AND every lint:allow must still
 # be load-bearing (stale suppressions are diagnostics too). The whole
 # analysis — lex, parse, call graph, reachability — has a 10 s budget.
@@ -85,9 +85,6 @@ if bad_out=$("$lint" --root crates/lint/tests/fixtures/bad --deny-all 2>&1); the
 fi
 for needle in \
     'crates/core/src/serve.rs:4:' \
-    'crates/comms/src/frame.rs:4:' \
-    'crates/comms/src/frame.rs:5:' \
-    'crates/core/src/dist.rs:4:' \
     'crates/core/src/ingest.rs:4:' \
     'crates/util/src/wal.rs:4:' \
     'crates/nn/src/fastpath.rs:3:' \
@@ -275,33 +272,6 @@ if ! cmp -s "$smoke/t1.ckpt" "$smoke/t4.ckpt"; then
 fi
 echo "thread determinism smoke test: OK (1-thread == 4-thread checkpoint)"
 
-# ---- distributed training smoke test ----------------------------------------
-# Sync-mode distributed training must be byte-identical to single-process
-# training on the same seed (t1.ckpt from the smoke above uses the same
-# flags), and must STAY byte-identical when a worker is SIGKILLed
-# mid-epoch and respawned by the supervisor.
-"$bin" train --data "$smoke/data" --dim 8 --epochs 2 --patience 0 --quiet \
-    --distributed --workers 2 --out "$smoke/dist.ckpt" 2>/dev/null
-if ! cmp -s "$smoke/t1.ckpt" "$smoke/dist.ckpt"; then
-    echo "ERROR: --distributed --workers 2 produced a different checkpoint" >&2
-    echo "than single-process training — sync mode is not byte-identical." >&2
-    exit 1
-fi
-"$bin" train --data "$smoke/data" --dim 8 --epochs 2 --patience 0 --quiet \
-    --distributed --workers 2 --dist-die-on 0@2 \
-    --out "$smoke/dist_kill.ckpt" 2>"$smoke/dist_kill.log"
-if ! grep -q "dist: worker 0 recovered in .* via respawn" "$smoke/dist_kill.log"; then
-    echo "ERROR: the forced worker kill was never detected/recovered:" >&2
-    cat "$smoke/dist_kill.log" >&2
-    exit 1
-fi
-if ! cmp -s "$smoke/t1.ckpt" "$smoke/dist_kill.ckpt"; then
-    echo "ERROR: the checkpoint differs after a worker was SIGKILLed" >&2
-    echo "mid-epoch and respawned — crash recovery is not byte-identical." >&2
-    exit 1
-fi
-echo "distributed smoke test: OK (2-worker sync == single-process, kill-recovery byte-identical)"
-
 # ---- online ingestion crash-recovery smoke test ------------------------------
 # Serve with a live WAL-backed ingest session, stream ingest batches at it,
 # SIGKILL the server mid-stream, restart it over the same WAL, replay the
@@ -419,14 +389,6 @@ echo "kernel bench smoke test: OK (quick sweep + schema check + regression gate)
 scripts/bench.sh --serve --quick --out "$smoke/BENCH_serve.json" >/dev/null
 target/release/loadgen --check "$smoke/BENCH_serve.json"
 echo "serving bench smoke test: OK (quick load sweep + JSON schema check)"
-
-# ---- distributed bench smoke test -------------------------------------------
-# A quick distributed sweep must run end to end — real worker processes,
-# an injected SIGKILL, byte-identity re-checked inside the bench — and
-# emit a BENCH_dist.json that passes its own schema check.
-scripts/bench.sh --dist --quick --out "$smoke/BENCH_dist.json" >/dev/null
-target/release/distbench --check "$smoke/BENCH_dist.json"
-echo "distributed bench smoke test: OK (quick sweep + JSON schema check)"
 
 # ---- ingestion bench smoke test ----------------------------------------------
 # A quick ingestion durability sweep must run end to end — real WAL fsyncs,

@@ -5,7 +5,7 @@
 //! backpressure, shutdown draining).
 
 use hisres::serve::{
-    load_servable_model, serve_concurrent, serve_lines, serve_tcp, ModelScorer, ServeConfig,
+    load_servable_model, serve_concurrent, serve_lines, ModelScorer, ServeConfig,
     ServeEngine, ServeScorer, ServerConfig,
 };
 use hisres::{HisRes, HisResConfig, ScoreCtx, TrainCheckpoint};
@@ -295,8 +295,10 @@ fn tcp_transport_round_trips_and_survives_client_hangup() {
     });
 
     // the engine is deliberately !Send, so the server runs on the main
-    // thread and the client on the spawned one
-    serve_tcp(&engine, &listener, Some(1)).unwrap();
+    // thread and the client on the spawned one; one worker serves the
+    // single connection, whose final stats line lands on a closed socket
+    let cfg = ServerConfig { workers: 1, max_connections: Some(1), ..ServerConfig::default() };
+    serve_concurrent(&engine, listener, &cfg).unwrap();
     let reply = client.join().unwrap();
     let v = json::parse(reply.trim()).unwrap();
     assert!(is_ok(&v), "{v:?}");
